@@ -1,14 +1,17 @@
 //! The engine's inter-query caches: the epoch-invalidated **result
-//! cache** and the cross-session **plan cache**.
+//! cache**, the cross-session **plan cache**, and the generic
+//! [`EpochCache`] behind the **reweighting cache** (SEMI-OPEN weights)
+//! and the **model cache** (fitted OPEN generative models).
 //!
-//! Both caches lean on the same two primitives. The
-//! [plan fingerprint](crate::plan::fingerprint) identifies *what* a
-//! query computes; [per-relation catalog epochs](crate::Catalog::relation_epoch)
-//! identify *over which data*. An entry is valid iff every relation its
-//! plan reads still has the epoch recorded at insert time — any
-//! DDL/DML/`CREATE SAMPLE`/metadata write against one of those
-//! relations bumps its epoch under the catalog write lock, so validity
-//! checks done under the read lock can never observe a torn state.
+//! All of them lean on [per-relation catalog epochs](crate::Catalog::relation_epoch):
+//! an entry records the epoch of every relation it was derived from and
+//! is valid iff every one of them is unchanged. Any DDL/DML/`CREATE
+//! SAMPLE`/metadata write against one of those relations bumps its epoch
+//! under the catalog write lock, so validity checks done under the read
+//! lock can never observe a torn state. The result and plan caches
+//! additionally key on the [plan fingerprint](crate::plan::fingerprint),
+//! which identifies *what* a query computes; the epoch caches key on the
+//! population plus the configuration that shapes the derived value.
 //!
 //! Because the engine's determinism contract makes results bit-identical
 //! at every thread count × partition count × optimizer setting, a valid
@@ -16,12 +19,14 @@
 //! correctness ambiguity to manage.
 //!
 //! The result cache is bounded by bytes and evicts least-recently-used
-//! entries; the plan cache is bounded by entry count. Both are engine-
-//! wide (shared by every session and wire connection) and guarded by
-//! their own mutexes, held only for map operations — never during
-//! execution.
+//! entries; the plan cache is bounded by entry count; an epoch cache
+//! holds one entry per key and drops stale entries whenever it inserts.
+//! All are engine-wide (shared by every session and wire connection) and
+//! guarded by their own mutexes, held only for map operations — never
+//! during execution, reweighting or model training.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use mosaic_sql::Visibility;
 use parking_lot::Mutex;
@@ -321,6 +326,57 @@ impl PlanCache {
     }
 }
 
+struct EpochEntry<V: ?Sized> {
+    value: Arc<V>,
+    /// `(relation, epoch)` of every relation the value was derived from.
+    epochs: Vec<(String, u64)>,
+}
+
+/// An engine-wide map from a string key to a shared value derived from
+/// catalog state, valid while the epochs of the relations it was derived
+/// from are unchanged. The engine keeps two: SEMI-OPEN reweightings and
+/// fitted OPEN models. Values are computed outside the lock; concurrent
+/// misses on one key both compute (the determinism contract makes their
+/// values identical) and the first insert wins.
+pub(crate) struct EpochCache<V: ?Sized> {
+    map: Mutex<HashMap<String, EpochEntry<V>>>,
+}
+
+impl<V: ?Sized> Default for EpochCache<V> {
+    fn default() -> Self {
+        EpochCache {
+            map: Mutex::new(HashMap::new()),
+        }
+    }
+}
+
+impl<V: ?Sized> EpochCache<V> {
+    /// The value under `key` if one is cached and still valid, else the
+    /// output of `compute`, stored under `epochs` — the snapshot of the
+    /// relations it reads, taken under the same catalog read guard
+    /// `epoch_of` reads. Inserting drops every stale entry. The flag is
+    /// `true` on a hit.
+    pub fn get_or_try_insert<E>(
+        &self,
+        key: &str,
+        epochs: Vec<(String, u64)>,
+        epoch_of: impl Fn(&str) -> u64,
+        compute: impl FnOnce() -> Result<Arc<V>, E>,
+    ) -> Result<(Arc<V>, bool), E> {
+        let valid = |e: &EpochEntry<V>| e.epochs.iter().all(|(r, ep)| epoch_of(r) == *ep);
+        if let Some(e) = self.map.lock().get(key).filter(|e| valid(e)) {
+            return Ok((Arc::clone(&e.value), true));
+        }
+        let value = compute()?;
+        let mut map = self.map.lock();
+        map.retain(|_, e| valid(e));
+        let entry = map
+            .entry(key.to_string())
+            .or_insert(EpochEntry { value, epochs });
+        Ok((Arc::clone(&entry.value), false))
+    }
+}
+
 /// Parse the `MOSAIC_RESULT_CACHE` environment variable: `off` (or `0`)
 /// disables the result cache, a number is the capacity in megabytes.
 /// Unset or unparsable falls back to the 64 MB default.
@@ -392,6 +448,48 @@ mod tests {
         let mut s = CacheStats::default();
         cache.stats_into(&mut s);
         assert_eq!((s.entries, s.insertions), (0, 0));
+    }
+
+    #[test]
+    fn epoch_cache_hits_until_a_source_epoch_moves() {
+        let cache: EpochCache<u32> = EpochCache::default();
+        let compute = |v: u32| move || Ok::<_, ()>(Arc::new(v));
+        let snap = |ep: u64| vec![("p".to_string(), ep)];
+        let (v, hit) = cache
+            .get_or_try_insert("k", snap(1), |_| 1, compute(7))
+            .unwrap();
+        assert_eq!((*v, hit), (7, false));
+        let (v, hit) = cache
+            .get_or_try_insert("k", snap(1), |_| 1, compute(8))
+            .unwrap();
+        assert_eq!((*v, hit), (7, true), "a valid entry is served");
+        let (v, hit) = cache
+            .get_or_try_insert("k", snap(2), |_| 2, compute(9))
+            .unwrap();
+        assert_eq!((*v, hit), (9, false), "a moved epoch recomputes");
+    }
+
+    #[test]
+    fn epoch_cache_drops_stale_entries_on_insert_and_skips_failures() {
+        let cache: EpochCache<u32> = EpochCache::default();
+        let at = |r: &str, ep: u64| vec![(r.to_string(), ep)];
+        let ok = |v: u32| move || Ok::<_, ()>(Arc::new(v));
+        cache
+            .get_or_try_insert("a", at("x", 1), |_| 1, ok(1))
+            .unwrap();
+        cache
+            .get_or_try_insert("b", at("y", 1), |_| 1, ok(2))
+            .unwrap();
+        // `x` moved: inserting `c` evicts `a`, keeps the still-valid `b`.
+        let epoch_of = |r: &str| if r == "x" { 2 } else { 1 };
+        cache
+            .get_or_try_insert("c", at("y", 1), epoch_of, ok(3))
+            .unwrap();
+        assert_eq!(cache.map.lock().len(), 2);
+        assert!(!cache.map.lock().contains_key("a"));
+        let failed = cache.get_or_try_insert("d", at("y", 1), epoch_of, || Err::<Arc<u32>, _>(()));
+        assert!(failed.is_err());
+        assert!(!cache.map.lock().contains_key("d"), "errors are not cached");
     }
 
     #[test]

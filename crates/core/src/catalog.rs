@@ -108,8 +108,9 @@ pub struct Catalog {
     samples: HashMap<String, Sample>,
     metadata: Vec<MetadataEntry>,
     global_population: Option<String>,
-    /// Bumped on any mutation that invalidates cached generative models.
-    pub(crate) epoch: u64,
+    /// Global write counter: every mutation advances it and stamps the
+    /// new value on the relations it wrote.
+    epoch: u64,
     /// Per-relation write epochs: for each relation (or metadata) name,
     /// the value of `epoch` at its last mutation. A cached artifact that
     /// reads a set of relations is valid iff every one of their epochs is

@@ -19,7 +19,7 @@ use mosaic_sql::{parse, Expr, InsertSource, SelectItem, SelectStmt, Statement, V
 use mosaic_stats::{Binner, Ipf, IpfConfig, Marginal};
 use mosaic_storage::{Column, DataType, Field, Schema, Table, TableBuilder, Value};
 use mosaic_swg::SwgConfig;
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::catalog::{
     empty_table, marginal_from_table, Catalog, Mechanism, MetadataEntry, Population, Sample,
@@ -263,11 +263,14 @@ impl QueryResult {
     }
 }
 
-/// Fitted generative models keyed by `population|backend|config-hash`,
-/// tagged with the catalog epoch they were trained at. Models are stored
-/// as `Arc` so the cache lock is released before generation starts:
-/// concurrent OPEN queries share one fitted model.
-type ModelCache = Mutex<HashMap<String, (u64, Arc<dyn GenerativeModel>)>>;
+/// A population's SEMI-OPEN reweighting (paper §4.1): the
+/// view-filtered sample, one weight per row, and the notes describing
+/// how the weights were derived.
+struct Reweighted {
+    data: Table,
+    weights: Vec<f64>,
+    notes: Vec<String>,
+}
 
 /// Prepared-statement hooks threaded through the SELECT dispatch: the
 /// cached physical plan(s) and the positional-parameter values of one
@@ -306,7 +309,13 @@ pub(crate) struct QueryPlans<'a> {
 pub struct MosaicEngine {
     catalog: RwLock<Catalog>,
     options: RwLock<EngineOptions>,
-    model_cache: ModelCache,
+    /// SEMI-OPEN weights per population and IPF configuration, valid
+    /// while the population (and its GP) are unwritten.
+    reweight_cache: crate::cache::EpochCache<Reweighted>,
+    /// Fitted OPEN models per population and backend configuration,
+    /// valid while the population (and its GP) are unwritten. Models are
+    /// `Arc`s, so concurrent OPEN queries share one fitted model.
+    model_cache: crate::cache::EpochCache<dyn GenerativeModel>,
     /// Epoch-invalidated query results, shared by every session (see
     /// [`crate::cache`]).
     result_cache: crate::cache::ResultCache,
@@ -333,7 +342,8 @@ impl MosaicEngine {
         MosaicEngine {
             catalog: RwLock::new(Catalog::new()),
             options: RwLock::new(options),
-            model_cache: Mutex::new(HashMap::new()),
+            reweight_cache: crate::cache::EpochCache::default(),
+            model_cache: crate::cache::EpochCache::default(),
             result_cache: crate::cache::ResultCache::default(),
             plan_cache: crate::cache::PlanCache::default(),
         }
@@ -956,7 +966,7 @@ impl MosaicEngine {
             // run the ordinary single-table pipeline (populations were
             // rejected by resolve_scope).
             let info = infos.into_iter().next().expect("one relation");
-            let table = scope_table(cat, opts, &info, vis, &mut notes)?;
+            let table = self.scope_table(cat, opts, &info, vis, &mut notes)?;
             let rewritten = crate::plan::join::bind_single(stmt, info.rel)?;
             let table = self.run_select(
                 opts,
@@ -993,7 +1003,7 @@ impl MosaicEngine {
             if Some(i) == open_idx {
                 tables.push(None);
             } else {
-                tables.push(Some(scope_table(cat, opts, info, vis, &mut notes)?));
+                tables.push(Some(self.scope_table(cat, opts, info, vis, &mut notes)?));
             }
         }
         let join_sym = match from.joins[0].kind {
@@ -1226,14 +1236,19 @@ impl MosaicEngine {
                 self.run_select(opts, stmt, &data, None, threads, plans.plan, plans.params)?
             }
             Visibility::SemiOpen => {
-                let (data, weights, mut w_notes) =
-                    semi_open_weights(cat, opts, &pop, &sample, view_predicate.as_ref())?;
-                notes.append(&mut w_notes);
+                let rw = self.reweighted(
+                    cat,
+                    opts,
+                    &pop,
+                    &sample,
+                    view_predicate.as_ref(),
+                    &mut notes,
+                )?;
                 self.run_select(
                     opts,
                     stmt,
-                    &data,
-                    Some(&weights),
+                    &rw.data,
+                    Some(&rw.weights),
                     threads,
                     plans.plan,
                     plans.params,
@@ -1258,6 +1273,82 @@ impl MosaicEngine {
             visibility: Some(visibility),
             notes,
         })
+    }
+
+    /// Materialize one resolved scope relation's table (non-OPEN sides: the
+    /// OPEN replicate loop generates its side per run instead). SEMI-OPEN
+    /// population sides run the full §4.1 reweighting pipeline and expose
+    /// the weights as the `weight` column.
+    fn scope_table(
+        &self,
+        cat: &Catalog,
+        opts: &EngineOptions,
+        info: &ScopeRelInfo,
+        vis: Option<Visibility>,
+        notes: &mut Vec<String>,
+    ) -> Result<Table> {
+        match &info.source {
+            ScopeSource::Aux => Ok(cat.aux(&info.rel.name).expect("resolved above").clone()),
+            ScopeSource::Sample { .. } => {
+                let s = cat.sample(&info.rel.name).expect("resolved above");
+                notes.push(format!(
+                    "raw sample scan of {} (weights exposed as column `weight`)",
+                    s.name
+                ));
+                table_with_weight_column(&s.data, &s.weights)
+            }
+            ScopeSource::Population { pop, sample, view } => {
+                match vis.expect("population sides carry a visibility") {
+                    Visibility::Closed => {
+                        notes.push(format!(
+                            "population {} via sample {} ({} rows), CLOSED side",
+                            pop.name,
+                            sample.name,
+                            sample.len()
+                        ));
+                        apply_view(&sample.data, view.as_ref())
+                    }
+                    Visibility::SemiOpen => {
+                        notes.push(format!(
+                            "population {} via sample {} ({} rows), SEMI-OPEN side",
+                            pop.name,
+                            sample.name,
+                            sample.len()
+                        ));
+                        let rw = self.reweighted(cat, opts, pop, sample, view.as_ref(), notes)?;
+                        table_with_weight_column(&rw.data, &rw.weights)
+                    }
+                    Visibility::Open => unreachable!("OPEN sides generate per replicate"),
+                }
+            }
+        }
+    }
+
+    /// The SEMI-OPEN reweighting of `pop` (see [`semi_open_weights`]),
+    /// from the reweighting cache when the population, its GP and the
+    /// IPF configuration are unchanged since it was computed. The
+    /// weights depend on none of the query, so every SEMI-OPEN query and
+    /// join side over one catalog state shares one IPF fit.
+    fn reweighted(
+        &self,
+        cat: &Catalog,
+        opts: &EngineOptions,
+        pop: &Population,
+        sample: &Sample,
+        view: Option<&Expr>,
+        notes: &mut Vec<String>,
+    ) -> Result<Arc<Reweighted>> {
+        let (rw, hit) = self.reweight_cache.get_or_try_insert(
+            &reweight_key(opts, pop),
+            epoch_snapshot(cat, std::slice::from_ref(&pop.name)),
+            |r| cat.relation_epoch(r),
+            || semi_open_weights(cat, opts, pop, sample, view).map(Arc::new),
+        )?;
+        notes.extend(rw.notes.iter().cloned());
+        if hit {
+            notes.push("reweighting cache hit".into());
+        }
+        Ok(rw)
     }
 
     /// Resolve metadata, choose training data, and fit (or fetch from
@@ -1308,51 +1399,42 @@ impl MosaicEngine {
             ));
         }
         let pop_size = marginals.iter().map(|m| m.total()).fold(0.0f64, f64::max);
-        // The cache key covers the backend *configuration*, not just its
-        // kind: sessions overriding the OPEN backend must not be handed
-        // a model fitted under someone else's hyper-parameters.
+        // The key covers the backend *configuration*, IPF settings and
+        // binners, not just the backend kind: sessions overriding the
+        // OPEN backend must not be handed a model fitted under someone
+        // else's hyper-parameters or training weights.
         let cache_key = format!(
-            "{}|{}|{:016x}",
-            pop.name.to_ascii_lowercase(),
-            opts.open.backend.id(),
-            backend_fingerprint(opts)
+            "{}|backend={:?}",
+            reweight_key(opts, pop),
+            opts.open.backend
         );
-        let epoch = cat.epoch;
-        let model: Arc<dyn GenerativeModel> = {
-            let mut cache = self.model_cache.lock();
-            match cache.get(&cache_key) {
-                Some((e, m)) if *e == epoch => {
-                    notes.push("generative model cache hit".into());
-                    Arc::clone(m)
-                }
-                _ => {
-                    let mut model: Box<dyn GenerativeModel> = match &opts.open.backend {
-                        OpenBackend::Swg(cfg) => Box::new(SwgModel::new(cfg.clone())),
-                        OpenBackend::BayesNet(cfg) => Box::new(BnModel::new(cfg.clone())),
-                    };
-                    // Explicit backends want IPF weights; compute them when
-                    // possible (ignore failure: marginals may not be IPF-able).
-                    let ipf_weights = Ipf::new(&train_data, &marginals, &opts.binners)
-                        .map(|ipf| ipf.fit(Some(&train_init), &opts.ipf).0)
-                        .unwrap_or_else(|_| train_init.clone());
-                    model.fit(&train_data, &ipf_weights, &marginals)?;
-                    notes.push(format!(
-                        "trained {} on {} rows with {} marginal(s)",
-                        model.name(),
-                        train_data.num_rows(),
-                        marginals.len()
-                    ));
-                    let model: Arc<dyn GenerativeModel> = Arc::from(model);
-                    // Evict models fitted at older catalog epochs: the
-                    // epoch only grows, so they can never be served
-                    // again — without this, every DDL statement strands
-                    // its era's fitted models in the map forever.
-                    cache.retain(|_, (e, _)| *e == epoch);
-                    cache.insert(cache_key, (epoch, Arc::clone(&model)));
-                    model
-                }
-            }
-        };
+        let (model, hit) = self.model_cache.get_or_try_insert(
+            &cache_key,
+            epoch_snapshot(cat, std::slice::from_ref(&pop.name)),
+            |r| cat.relation_epoch(r),
+            || {
+                let mut model: Box<dyn GenerativeModel> = match &opts.open.backend {
+                    OpenBackend::Swg(cfg) => Box::new(SwgModel::new(cfg.clone())),
+                    OpenBackend::BayesNet(cfg) => Box::new(BnModel::new(cfg.clone())),
+                };
+                // Explicit backends want IPF weights; compute them when
+                // possible (ignore failure: marginals may not be IPF-able).
+                let ipf_weights = Ipf::new(&train_data, &marginals, &opts.binners)
+                    .map(|ipf| ipf.fit(Some(&train_init), &opts.ipf).0)
+                    .unwrap_or_else(|_| train_init.clone());
+                model.fit(&train_data, &ipf_weights, &marginals)?;
+                notes.push(format!(
+                    "trained {} on {} rows with {} marginal(s)",
+                    model.name(),
+                    train_data.num_rows(),
+                    marginals.len()
+                ));
+                Ok::<_, MosaicError>(Arc::from(model))
+            },
+        )?;
+        if hit {
+            notes.push("generative model cache hit".into());
+        }
         let per_sample = opts
             .open
             .rows_per_sample
@@ -1738,56 +1820,6 @@ pub(crate) fn resolve_scope(
     Ok((infos, if pops.is_empty() { None } else { Some(vis) }))
 }
 
-/// Materialize one resolved scope relation's table (non-OPEN sides: the
-/// OPEN replicate loop generates its side per run instead). SEMI-OPEN
-/// population sides run the full §4.1 reweighting pipeline and expose
-/// the weights as the `weight` column.
-fn scope_table(
-    cat: &Catalog,
-    opts: &EngineOptions,
-    info: &ScopeRelInfo,
-    vis: Option<Visibility>,
-    notes: &mut Vec<String>,
-) -> Result<Table> {
-    match &info.source {
-        ScopeSource::Aux => Ok(cat.aux(&info.rel.name).expect("resolved above").clone()),
-        ScopeSource::Sample { .. } => {
-            let s = cat.sample(&info.rel.name).expect("resolved above");
-            notes.push(format!(
-                "raw sample scan of {} (weights exposed as column `weight`)",
-                s.name
-            ));
-            table_with_weight_column(&s.data, &s.weights)
-        }
-        ScopeSource::Population { pop, sample, view } => {
-            match vis.expect("population sides carry a visibility") {
-                Visibility::Closed => {
-                    notes.push(format!(
-                        "population {} via sample {} ({} rows), CLOSED side",
-                        pop.name,
-                        sample.name,
-                        sample.len()
-                    ));
-                    apply_view(&sample.data, view.as_ref())
-                }
-                Visibility::SemiOpen => {
-                    notes.push(format!(
-                        "population {} via sample {} ({} rows), SEMI-OPEN side",
-                        pop.name,
-                        sample.name,
-                        sample.len()
-                    ));
-                    let (data, weights, mut w_notes) =
-                        semi_open_weights(cat, opts, pop, sample, view.as_ref())?;
-                    notes.append(&mut w_notes);
-                    table_with_weight_column(&data, &weights)
-                }
-                Visibility::Open => unreachable!("OPEN sides generate per replicate"),
-            }
-        }
-    }
-}
-
 /// Pick "a single, optimal sample" (paper §4 assumption 2): prefer
 /// samples declared on the query population, falling back to the GP's
 /// samples (with the population's defining predicate as a view);
@@ -1813,6 +1845,14 @@ pub(crate) fn choose_sample(cat: &Catalog, pop: &Population) -> Result<(Sample, 
     )))
 }
 
+/// The reweighting-cache key of a population: its name plus the IPF
+/// settings and binners its weights depend on. The model-cache key
+/// extends it with the backend configuration.
+fn reweight_key(opts: &EngineOptions, pop: &Population) -> String {
+    let config = model_config_string(opts, Visibility::SemiOpen).expect("SEMI-OPEN has a config");
+    format!("{}|{config}", pop.name.to_ascii_lowercase())
+}
+
 /// SEMI-OPEN weighting (paper §4.1): inverse-probability weights when
 /// the mechanism is known, IPF against the metadata otherwise.
 /// Returns the (possibly view-filtered) sample data and its weights.
@@ -1822,13 +1862,17 @@ fn semi_open_weights(
     pop: &Population,
     sample: &Sample,
     view: Option<&Expr>,
-) -> Result<(Table, Vec<f64>, Vec<String>)> {
+) -> Result<Reweighted> {
     let mut notes = Vec::new();
     if let Some(mechanism) = &sample.mechanism {
         // Known mechanism: weight = 1 / Pr_S(t).
         let weights = mechanism_weights(cat, sample, mechanism, &mut notes)?;
         let (data, weights) = apply_view_weighted(&sample.data, &weights, view)?;
-        return Ok((data, weights, notes));
+        return Ok(Reweighted {
+            data,
+            weights,
+            notes,
+        });
     }
     // Unknown mechanism: IPF. Prefer metadata on the query population
     // (reweight the view directly — the more accurate bottom path of
@@ -1852,7 +1896,11 @@ fn semi_open_weights(
                 " (not converged)"
             },
         ));
-        return Ok((data, weights, notes));
+        return Ok(Reweighted {
+            data,
+            weights,
+            notes,
+        });
     }
     if let Some((gp, _)) = &pop.source {
         let gp_meta = cat.metadata_for(gp);
@@ -1867,7 +1915,11 @@ fn semi_open_weights(
                 report.max_rel_error
             ));
             let (data, weights) = apply_view_weighted(&sample.data, &weights, view)?;
-            return Ok((data, weights, notes));
+            return Ok(Reweighted {
+                data,
+                weights,
+                notes,
+            });
         }
     }
     Err(MosaicError::Execution(format!(
@@ -2013,7 +2065,7 @@ pub(crate) fn fingerprint_of(
     vis: Visibility,
 ) -> u64 {
     crate::plan::fingerprint::plan_fingerprint(
-        &prepared.logical_plan().to_string(),
+        prepared.plan_hash(),
         &prepared.relations(),
         params,
         vis,
@@ -2021,21 +2073,19 @@ pub(crate) fn fingerprint_of(
     )
 }
 
-/// Snapshot the current epoch of every relation in `relations`.
+/// Snapshot the current epoch of every relation in `relations`, plus
+/// the GP of every derived population among them: a derived population
+/// reads its GP's samples and metadata, and writes to those bump only
+/// the GP.
 pub(crate) fn epoch_snapshot(cat: &Catalog, relations: &[String]) -> Vec<(String, u64)> {
+    let gps = relations
+        .iter()
+        .filter_map(|r| cat.population(r)?.source.as_ref().map(|(gp, _)| gp));
     relations
         .iter()
+        .chain(gps)
         .map(|r| (r.clone(), cat.relation_epoch(r)))
         .collect()
-}
-
-/// Hash the parts of the options that shape a fitted model (backend
-/// hyper-parameters and IPF settings), for the model-cache key.
-fn backend_fingerprint(opts: &EngineOptions) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    format!("{:?}|{:?}", opts.open.backend, opts.ipf).hash(&mut h);
-    h.finish()
 }
 
 /// Map a row (possibly with an explicit column list) onto the target

@@ -2,15 +2,24 @@
 //!
 //! A fingerprint is a 64-bit hash over everything that determines a
 //! query's result under the engine's determinism contract: the
-//! *optimized* [`LogicalPlan`] rendering, the resolved relation names it
-//! reads, the bound parameter values, the effective visibility, and the
-//! model configuration (IPF options, OPEN backend and seed) for
-//! visibilities that consult generative machinery. Thread count,
+//! *optimized* [`LogicalPlan`] (its [`plan_hash`]), the resolved
+//! relation names it reads, the bound parameter values, the effective
+//! visibility, and the model configuration (IPF options, OPEN backend
+//! and seed) for visibilities that consult generative machinery. Thread count,
 //! partition count, and optimizer setting are deliberately **excluded**:
 //! results are bit-identical across all of them, so one entry serves
 //! every execution configuration. (The optimizer setting still changes
-//! the optimized plan *text*, so cache entries naturally split per
+//! the optimized plan, so cache entries naturally split per
 //! setting — each is correct, they just don't share.)
+//!
+//! The plan is hashed through its derived `Debug` rendering, which is
+//! lossless: every expression node, literal type, list element and
+//! alias is spelled out, and nesting is explicit. Its `Display` (what
+//! `EXPLAIN` shows) is not — it elides `BETWEEN` bounds and `IN` lists,
+//! `NOT` on them, parentheses and aliased expressions — so it must not
+//! feed the hash, or distinct queries would share a cached answer. A
+//! compiler whose `Debug` output differed would change fingerprint
+//! values, never merge two distinct plans.
 //!
 //! The hash is FNV-1a over length-prefixed components. `DefaultHasher`
 //! is explicitly avoided: fingerprints are rendered by `EXPLAIN` and
@@ -21,6 +30,8 @@
 
 use mosaic_sql::Visibility;
 use mosaic_storage::Value;
+
+use crate::plan::logical::LogicalPlan;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -103,11 +114,19 @@ impl StableHasher {
     }
 }
 
+/// The stable hash of a logical plan's lossless rendering. Prepared
+/// statements compute it once, at bind time.
+pub fn plan_hash(plan: &LogicalPlan) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_str(&format!("{plan:?}"));
+    h.finish()
+}
+
 /// Compute the canonical fingerprint of a query.
 ///
-/// * `logical` — the rendering of the **optimized** logical plan (its
-///   `Display` output), which canonicalizes the statement: two SQL
-///   spellings that optimize to the same plan share a fingerprint.
+/// * `plan_hash` — the [`plan_hash`] of the **optimized** logical plan,
+///   which canonicalizes the statement: two SQL spellings that optimize
+///   to the same plan share a fingerprint.
 /// * `relations` — resolved relation names the plan reads, in bind
 ///   order. The logical plan refers to relations by index, so the names
 ///   must be hashed alongside it.
@@ -117,14 +136,14 @@ impl StableHasher {
 ///   model-relevant options (IPF configuration, OPEN backend, replicate
 ///   count, and seed). `None` for CLOSED queries.
 pub fn plan_fingerprint(
-    logical: &str,
+    plan_hash: u64,
     relations: &[String],
     params: &[Value],
     visibility: Visibility,
     model_config: Option<&str>,
 ) -> u64 {
     let mut h = StableHasher::new();
-    h.write_str(logical);
+    h.write_u64(plan_hash);
     h.write_u64(relations.len() as u64);
     for r in relations {
         h.write_str(&r.to_ascii_lowercase());
@@ -157,9 +176,16 @@ pub fn format_fingerprint(fp: u64) -> String {
 mod tests {
     use super::*;
 
+    /// Stand-in plan hash for a plan text.
+    fn text(logical: &str) -> u64 {
+        let mut h = StableHasher::new();
+        h.write_str(logical);
+        h.finish()
+    }
+
     fn fp(logical: &str, params: &[Value]) -> u64 {
         plan_fingerprint(
-            logical,
+            text(logical),
             &["t".to_string()],
             params,
             Visibility::Closed,
@@ -185,7 +211,7 @@ mod tests {
         assert_ne!(
             base,
             plan_fingerprint(
-                "Scan → Project[k]",
+                text("Scan → Project[k]"),
                 &["u".to_string()],
                 &[],
                 Visibility::Closed,
@@ -196,7 +222,7 @@ mod tests {
         assert_ne!(
             base,
             plan_fingerprint(
-                "Scan → Project[k]",
+                text("Scan → Project[k]"),
                 &["t".to_string()],
                 &[],
                 Visibility::SemiOpen,
@@ -208,8 +234,8 @@ mod tests {
 
     #[test]
     fn relation_names_are_case_insensitive_like_the_catalog() {
-        let lower = plan_fingerprint("p", &["t".into()], &[], Visibility::Closed, None);
-        let upper = plan_fingerprint("p", &["T".into()], &[], Visibility::Closed, None);
+        let lower = plan_fingerprint(text("p"), &["t".into()], &[], Visibility::Closed, None);
+        let upper = plan_fingerprint(text("p"), &["T".into()], &[], Visibility::Closed, None);
         assert_eq!(lower, upper);
     }
 
@@ -224,8 +250,8 @@ mod tests {
 
     #[test]
     fn length_prefix_prevents_component_aliasing() {
-        let a = plan_fingerprint("ab", &["c".into()], &[], Visibility::Closed, None);
-        let b = plan_fingerprint("a", &["bc".into()], &[], Visibility::Closed, None);
+        let a = plan_fingerprint(text("ab"), &["c".into()], &[], Visibility::Closed, None);
+        let b = plan_fingerprint(text("a"), &["bc".into()], &[], Visibility::Closed, None);
         assert_ne!(a, b);
     }
 }

@@ -255,6 +255,8 @@ pub struct Prepared {
     /// parameter-aware constant folding leaves `?` residuals for
     /// execution to bind).
     logical: LogicalPlan,
+    /// [`crate::plan::fingerprint::plan_hash`] of `logical`.
+    plan_hash: u64,
     /// Optimizer rules that fired at prepare time.
     fired: Vec<&'static str>,
     plan: PhysicalPlan,
@@ -296,6 +298,12 @@ impl Prepared {
     /// reuses the rewrite the optimizer did once at prepare time.
     pub fn logical_plan(&self) -> &LogicalPlan {
         &self.logical
+    }
+
+    /// The stable hash of the optimized plan, for the result-cache
+    /// fingerprint.
+    pub(crate) fn plan_hash(&self) -> u64 {
+        self.plan_hash
     }
 
     /// Names of the optimizer rules that fired at prepare time (empty
@@ -494,6 +502,7 @@ impl Prepared {
             stmt,
             param_count,
             source,
+            plan_hash: crate::plan::fingerprint::plan_hash(&planned.optimized),
             logical: planned.optimized,
             fired: planned.fired,
             plan: planned.physical,
@@ -543,6 +552,7 @@ impl Prepared {
                 stmt: rewritten,
                 param_count,
                 source,
+                plan_hash: crate::plan::fingerprint::plan_hash(&planned.optimized),
                 logical: planned.optimized,
                 fired: planned.fired,
                 plan: planned.physical,
@@ -587,6 +597,7 @@ impl Prepared {
             stmt: bound.stmt,
             param_count,
             source,
+            plan_hash: crate::plan::fingerprint::plan_hash(&planned.optimized),
             logical: planned.optimized,
             fired: planned.fired,
             plan: planned.physical,

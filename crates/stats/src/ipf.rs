@@ -215,8 +215,7 @@ impl Ipf {
                         totals[cell] += weights[row];
                     }
                 }
-                for (cell, (&total, &target)) in totals.iter().zip(&m.targets).enumerate() {
-                    let _ = cell;
+                for (&total, &target) in totals.iter().zip(&m.targets) {
                     if target > 0.0 && total > 0.0 {
                         pass_err = pass_err.max((total - target).abs() / target);
                     } else if target > 0.0 {

@@ -13,12 +13,15 @@
 //! * The byte-bounded **LRU** respects its capacity, evicts, and
 //!   refuses oversized entries; the plan cache powers the zero-parse
 //!   hot path and drops stale entries after DDL.
+//! * Queries that `EXPLAIN` renders alike (`BETWEEN` bounds, `IN` lists
+//!   and their `NOT`, parenthesization, aliased items) **never share an
+//!   entry**: the fingerprint hashes the plan losslessly.
 //! * Over the wire, `SetOption result_cache=on|off|clear` gates and
 //!   clears the cache per connection, and `CacheStats` frames report
 //!   engine-wide counters.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use mosaic_core::{EngineOptions, MosaicEngine, QueryResult, Session, Table, Value};
 use mosaic_serve::{Client, ServeConfig, Server, ServerHandle};
@@ -223,6 +226,42 @@ fn semi_open_caches_and_sample_writes_invalidate() {
     assert_identical(&fresh.table, &after_ddl.table, "post-CREATE SAMPLE");
 }
 
+/// A derived population reads its GP's sample and metadata, whose
+/// writes bump only the GP: its cached SEMI-OPEN answer must still die.
+#[test]
+fn gp_writes_invalidate_derived_population_results() {
+    let engine = cache_engine();
+    engine
+        .session()
+        .execute(
+            "CREATE TABLE Report (country TEXT, reported_count INT);
+             INSERT INTO Report VALUES ('UK', 600), ('FR', 400);
+             CREATE TABLE Mail (email TEXT, reported_count INT);
+             INSERT INTO Mail VALUES ('Yahoo', 300), ('AOL', 700);
+             CREATE GLOBAL POPULATION Migrants (country TEXT, email TEXT);
+             CREATE POPULATION UKMigrants AS (SELECT * FROM Migrants WHERE country = 'UK');
+             CREATE METADATA Migrants_M1 AS (SELECT country, reported_count FROM Report);
+             CREATE SAMPLE S AS (SELECT * FROM Migrants);
+             INSERT INTO S VALUES ('UK','Yahoo'), ('UK','AOL'), ('FR','Yahoo');",
+        )
+        .unwrap();
+    let q = "SELECT SEMI-OPEN email, COUNT(*) AS n FROM UKMigrants GROUP BY email ORDER BY email";
+    let cached = engine.session();
+    let uncached = engine.session().with_result_cache(false);
+    for write in [
+        "CREATE METADATA Migrants_M2 AS (SELECT email, reported_count FROM Mail)",
+        "INSERT INTO S VALUES ('UK','Yahoo')",
+    ] {
+        cached.execute(q).unwrap();
+        assert!(is_hit(&cached.execute(q).unwrap()), "warm before {write}");
+        cached.execute(write).unwrap();
+        let after = cached.execute(q).unwrap();
+        assert!(!is_hit(&after), "{write} must invalidate");
+        let fresh = uncached.execute(q).unwrap();
+        assert_identical(&fresh.table, &after.table, write);
+    }
+}
+
 /// INSERT between identical queries: the cached path never serves the
 /// stale pre-write count.
 #[test]
@@ -283,16 +322,22 @@ fn concurrent_writer_vs_cached_readers() {
         .execute("CREATE TABLE t (k TEXT, i INT, f FLOAT)")
         .unwrap();
     let done = Arc::new(AtomicBool::new(false));
+    // The writer starts only once every reader is running, and each
+    // reader reads at least once, so the race is actually exercised.
+    let started = Arc::new(Barrier::new(5));
     std::thread::scope(|scope| {
         let mut readers = Vec::new();
         for _ in 0..4 {
             let engine = Arc::clone(&engine);
             let done = Arc::clone(&done);
+            let started = Arc::clone(&started);
             readers.push(scope.spawn(move || {
                 let s = engine.session();
                 let mut last = 0i64;
                 let mut observations = 0usize;
-                while !done.load(Ordering::Relaxed) {
+                started.wait();
+                loop {
+                    let finished = done.load(Ordering::Relaxed);
                     let r = s.execute("SELECT COUNT(*) FROM t").unwrap();
                     let n = match r.table.value(0, 0) {
                         Value::Int(n) => n,
@@ -306,10 +351,14 @@ fn concurrent_writer_vs_cached_readers() {
                     assert!(n >= last, "stale read: count went {last} -> {n}");
                     last = n;
                     observations += 1;
+                    if finished {
+                        break;
+                    }
                 }
                 observations
             }));
         }
+        started.wait();
         let writer = engine.session();
         let row = "('w', 1, 1.0)";
         let batch_sql = format!("INSERT INTO t VALUES {}", [row; BATCH].join(", "));
@@ -390,6 +439,82 @@ fn plan_cache_hot_path_and_ddl_staleness() {
     assert!(
         s.execute_cached(sql).is_none(),
         "DDL must make the cached plan stale"
+    );
+}
+
+/// `(a, b, c)` rows on which every fingerprint-collision pair below
+/// has different answers.
+fn collision_engine() -> Arc<MosaicEngine> {
+    let engine = cache_engine();
+    engine
+        .session()
+        .execute(
+            "CREATE TABLE t (a INT, b INT, c INT);
+             INSERT INTO t VALUES (0, 1, 1), (1, 0, 1), (4, 0, 0), (5, 1, 1),
+                                  (9, 1, 0), (2, 0, 1), (1, 0, 0), (6, 0, 0);",
+        )
+        .unwrap();
+    engine
+}
+
+/// Run `first` to fill the cache, then `second`: the second answer must
+/// be `expected`, equal to an uncached run, and not a hit on the first
+/// query's entry (the two render identically in `EXPLAIN`).
+fn assert_no_collision(first: &str, second: &str, expected: i64) {
+    let engine = collision_engine();
+    let cached = engine.session();
+    let first_answer = cached.execute(first).unwrap();
+    assert!(!is_hit(&first_answer));
+    let r = cached.execute(second).unwrap();
+    assert!(!is_hit(&r), "{second} was served {first}'s entry");
+    assert_eq!(r.table.value(0, 0), Value::Int(expected), "{second}");
+    let fresh = engine.session().with_result_cache(false).execute(second);
+    assert_identical(&fresh.unwrap().table, &r.table, second);
+    assert!(is_hit(&cached.execute(second).unwrap()), "{second} caches");
+}
+
+#[test]
+fn between_bounds_are_part_of_the_fingerprint() {
+    assert_no_collision(
+        "SELECT COUNT(*) FROM t WHERE a BETWEEN 0 AND 1",
+        "SELECT COUNT(*) FROM t WHERE a BETWEEN 4 AND 9",
+        4,
+    );
+}
+
+#[test]
+fn in_list_negation_is_part_of_the_fingerprint() {
+    assert_no_collision(
+        "SELECT COUNT(*) FROM t WHERE a IN (1)",
+        "SELECT COUNT(*) FROM t WHERE a NOT IN (1)",
+        6,
+    );
+}
+
+#[test]
+fn boolean_grouping_is_part_of_the_fingerprint() {
+    assert_no_collision(
+        "SELECT COUNT(*) FROM t WHERE (a = 1 OR b = 1) AND c = 1",
+        "SELECT COUNT(*) FROM t WHERE a = 1 OR (b = 1 AND c = 1)",
+        4,
+    );
+}
+
+#[test]
+fn arithmetic_grouping_is_part_of_the_fingerprint() {
+    assert_no_collision(
+        "SELECT SUM(a - (b - c)) FROM t",
+        "SELECT SUM(a - b - c) FROM t",
+        21,
+    );
+}
+
+#[test]
+fn aliased_expressions_are_part_of_the_fingerprint() {
+    assert_no_collision(
+        "SELECT SUM(a + b) AS s FROM t",
+        "SELECT SUM(a - b) AS s FROM t",
+        25,
     );
 }
 
